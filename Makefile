@@ -54,6 +54,11 @@
 #   make coverage      unit suite under pytest-cov with the pinned fail-under
 #                      (requires pytest-cov; the CI coverage leg runs this)
 #   make lint          byte-compile every source tree as a fast syntax/import gate
+#   make perfbench     one 20-second run of a repository benchmark workload
+#                      (BENCHMARK.json): W=exact_taxi|fanout_remote|
+#                      served_open_loop, SEED=<n>, TRACE=1 adds the
+#                      per-layer breakdown (defaults W=served_open_loop
+#                      SEED=3 TRACE=0); the last stdout line is the JSON result
 #
 # The numpy sweep backend is optional: `pip install .[fast]` enables it, and
 # everything degrades to the pure-Python kernel without it.
@@ -69,11 +74,15 @@ SMOKE_TIMEOUT ?= 900
 # code runs uncounted, as it does under un-configured pytest-cov), pinned a
 # few points under so the floor only moves up deliberately.
 COVERAGE_MIN ?= 92
+# Workload, seed and tracing switch for `make perfbench`.
+W ?= served_open_loop
+SEED ?= 3
+TRACE ?= 0
 
 .PHONY: test bench bench-sweep bench-ingest bench-service bench-recovery \
 	bench-robustness bench-server bench-obs bench-remote smoke smoke-recovery \
 	smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
-	smoke-remote coverage lint
+	smoke-remote coverage lint perfbench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -141,3 +150,6 @@ coverage:
 
 lint:
 	$(PYTHON) -m compileall -q src/repro tests benchmarks examples scripts
+
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 20 --trace $(TRACE)

@@ -17,7 +17,9 @@ escaped per the spec.  Families:
   routed objects, busy seconds, chunk counts, and the result-lag
   gauges (``last``/``max``);
 * ``repro_subscription_*`` — per-subscription conservation counters
-  labelled ``{subscription="...",policy="..."}``;
+  labelled ``{subscription="...",policy="..."}``, plus the time delivered
+  updates waited in the queue (``wait_seconds_total`` counter,
+  ``max_wait_seconds`` gauge);
 * ``repro_server_*`` — the front end's own counters (connections,
   subscribers, refused ingest batches);
 * ``repro_stage_seconds`` — per-stage latency histograms from the tracing
@@ -225,8 +227,9 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
         lines += _family(
             name,
             "gauge",
-            f"Per-query result lag ({key}): wall time from chunk submission "
-            f"to the update surfacing.",
+            f"Per-query result lag ({key}): wall time of the chunk's "
+            f"broadcast, from dispatch to publish (the wait in a "
+            f"subscription queue is repro_subscription_wait_seconds_total).",
             [
                 _sample(name, stats.get(key, 0.0), {"query": query_id})
                 for query_id, stats in queries.items()
@@ -234,13 +237,41 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
         )
 
     subscriptions = snapshot.get("subscriptions", [])
-    for key in _SUBSCRIPTION_COUNTERS:
-        name = f"repro_subscription_{key}_total"
-        lines += _family(
-            name,
+    subscription_families = [
+        (
+            f"repro_subscription_{key}_total",
+            key,
             "counter",
             f"Per-subscription counter {key} "
             f"(offered == delivered + dropped + depth).",
+        )
+        for key in _SUBSCRIPTION_COUNTERS
+    ] + [
+        (
+            "repro_subscription_depth",
+            "depth",
+            "gauge",
+            "Updates currently buffered per subscription.",
+        ),
+        (
+            "repro_subscription_wait_seconds_total",
+            "wait_seconds_total",
+            "counter",
+            "Seconds delivered updates waited in the subscription queue "
+            "(offer to get/drain).",
+        ),
+        (
+            "repro_subscription_max_wait_seconds",
+            "max_wait_seconds",
+            "gauge",
+            "Longest a delivered update waited in the subscription queue.",
+        ),
+    ]
+    for name, key, kind, help_text in subscription_families:
+        lines += _family(
+            name,
+            kind,
+            help_text,
             [
                 _sample(
                     name,
@@ -253,23 +284,6 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
                 for index, record in enumerate(subscriptions)
             ],
         )
-    name = "repro_subscription_depth"
-    lines += _family(
-        name,
-        "gauge",
-        "Updates currently buffered per subscription.",
-        [
-            _sample(
-                name,
-                record.get("depth", 0),
-                {
-                    "subscription": record.get("name") or f"sub{index}",
-                    "policy": record.get("policy", ""),
-                },
-            )
-            for index, record in enumerate(subscriptions)
-        ],
-    )
 
     server = snapshot.get("server", {})
     for key, kind, help_text in (

@@ -26,8 +26,9 @@ Overload semantics on the wire (the PR 7 tier, surfaced):
 Subscribed connections get a dedicated *pump thread*: it blocks on the
 bounded :class:`~repro.service.bus.Subscription` (so a slow TCP peer
 fills the subscription and the chosen ``block``/``drop_oldest``/``evict``
-policy engages on the engine's publish path, exactly as in-process) and
-forwards each update to the event loop for writing.
+policy engages on the engine's publish path, exactly as in-process),
+wakes on each publish, takes everything then buffered, and hands the event
+loop the encoded frames as one write.
 """
 
 from __future__ import annotations
@@ -108,13 +109,16 @@ class _Connection:
         self._write_lock = asyncio.Lock()
 
     async def send(self, frame: dict[str, Any], server: "SurgeServer") -> None:
-        data = encode_frame(frame)
+        await self.write(encode_frame(frame), 1, server)
+
+    async def write(self, data: bytes, frames: int, server: "SurgeServer") -> None:
+        """Write ``frames`` already-encoded frames as one write + drain."""
         async with self._write_lock:
             if self.closed:
                 raise ConnectionResetError("connection already closed")
             self.writer.write(data)
             await self.writer.drain()
-        server.frames_out += 1
+        server.frames_out += frames
 
 
 class SurgeServer:
@@ -467,9 +471,21 @@ class SurgeServer:
     # Subscription pump (one thread per subscribed connection)
     # ------------------------------------------------------------------
     def _pump(self, conn: _Connection, subscription: Subscription) -> None:
+        """Forward a subscription's updates to its connection.
+
+        Each wake-up takes the update :meth:`Subscription.get` returned plus
+        whatever else is buffered (:meth:`Subscription.drain`, capped so the
+        batch never exceeds ``maxsize``), encodes every frame here, and
+        hands the event loop one byte string: one write, one ``drain()``.
+        The pump waits for that write, so a slow peer fills the bounded
+        subscription and its policy engages, not an unbounded asyncio
+        buffer; the wire holds at most one drained batch (at most
+        ``maxsize`` updates) beyond the subscription queue.
+        """
         loop = self._loop
         assert loop is not None
         tracer = self._service.tracer
+        limit = max(subscription.maxsize - 1, 0)
         while True:
             update = subscription.get(timeout=0.25)
             if update is None:
@@ -480,15 +496,14 @@ class SurgeServer:
                 continue
             traced = tracer is not None and tracer.enabled
             pump_started = perf_counter() if traced else 0.0
-            frame = encode_update(update)
+            batch = [update, *subscription.drain(limit)]
             try:
-                future = asyncio.run_coroutine_threadsafe(
-                    conn.send(frame, self), loop
+                data = b"".join(
+                    encode_frame(encode_update(item)) for item in batch
                 )
-                # Wait for the write: a slow peer must fill the bounded
-                # subscription (engaging its policy), not an unbounded
-                # asyncio write buffer.
-                future.result()
+                asyncio.run_coroutine_threadsafe(
+                    conn.write(data, len(batch), self), loop
+                ).result()
             except Exception:
                 return
             if traced:

@@ -63,8 +63,11 @@ class QueryUpdate:
 
     ``busy_seconds`` is the time the query's pipeline spent routing and
     detecting inside its shard; ``lag_seconds`` (stamped by the service, not
-    the shard) is the wall time from chunk submission until this update was
-    surfaced — the queueing/transport overhead a tenant actually observes.
+    the shard) is the wall time of the chunk's broadcast, from dispatch to
+    the gather of every shard's reply — the moment the update is published.
+    It does not include the time the update then waits in a
+    :class:`Subscription` before a consumer takes it; that wait is counted
+    per subscription (``wait_seconds_total`` / ``max_wait_seconds``).
     ``shed`` marks an update whose chunk was load-shed for this query: the
     carried ``result`` is the last computed answer, not a fresh one.
     """
@@ -204,7 +207,16 @@ class Subscription:
     quiescent point (i.e. outside a concurrent :meth:`get`).  With a
     ``query_ids`` filter, updates for other queries bypass the subscription
     entirely — they are not offered, so the identity holds over the
-    filtered updates alone.
+    filtered updates alone.  Every enqueue wakes a consumer blocked in
+    :meth:`get`; ``wait_seconds_total`` / ``max_wait_seconds`` count how
+    long delivered updates sat in the queue (offer to get/drain).
+
+    The bound covers this queue only.  A consumer that forwards what it
+    takes holds at most what it took in one call beyond it: the network
+    pump (:mod:`repro.server.server`) takes one :meth:`get` plus one
+    :meth:`drain` of at most ``maxsize - 1`` per wake-up, so the wire holds
+    at most one drained batch (at most ``maxsize`` updates) beyond the
+    subscription queue.
     """
 
     def __init__(
@@ -239,7 +251,9 @@ class Subscription:
         self.query_ids: frozenset[str] | None = (
             frozenset(query_ids) if query_ids is not None else None
         )
-        self._queue: deque[QueryUpdate] = deque()
+        #: ``(offered_at, update)`` pairs, oldest first; ``offered_at`` is
+        #: the monotonic time the update was enqueued.
+        self._queue: deque[tuple[float, QueryUpdate]] = deque()
         self._cond = threading.Condition()
         #: Thread idents that have ever consumed (get/drain) — the
         #: self-block detector's evidence that nobody else can make room.
@@ -248,6 +262,11 @@ class Subscription:
         self.delivered = 0
         self.dropped = 0
         self.peak_depth = 0
+        #: Seconds delivered updates spent queued (offer to get/drain),
+        #: summed and at most: the wait a consumer adds on top of
+        #: ``QueryUpdate.lag_seconds``.
+        self.wait_seconds_total = 0.0
+        self.max_wait_seconds = 0.0
         self.closed = False
         self.evicted = False
 
@@ -260,7 +279,10 @@ class Subscription:
         """Enqueue one update (publisher side).
 
         Returns the query ids of any updates discarded to make room, or
-        ``None`` when the subscription must be evicted.
+        ``None`` when the subscription must be evicted.  Every branch that
+        enqueues leaves through the one ``notify_all`` at the bottom, so a
+        consumer blocked in :meth:`get` wakes on the publish itself, not on
+        its own timeout.
         """
         if self.query_ids is not None and update.query_id not in self.query_ids:
             return []
@@ -268,63 +290,70 @@ class Subscription:
             if self.closed:
                 return []
             self.offered += 1
+            dropped_ids: list[str] = []
             if self.policy == "evict":
                 if len(self._queue) >= self.maxsize:
                     self.evicted = True
                     self.closed = True
                     self._cond.notify_all()
                     return None
-                self._queue.append(update)
             elif self.policy == "drop_oldest":
-                dropped_ids: list[str] = []
                 if self.maxsize == 0:
                     self.dropped += 1
                     return [update.query_id]
                 while len(self._queue) >= self.maxsize:
-                    stale = self._queue.popleft()
+                    _, stale = self._queue.popleft()
                     self.dropped += 1
                     dropped_ids.append(stale.query_id)
-                self._queue.append(update)
-                if len(self._queue) > self.peak_depth:
-                    self.peak_depth = len(self._queue)
-                return dropped_ids
             else:  # block
-                if (
-                    self.block_timeout is None
-                    and len(self._queue) >= self.maxsize
-                    and self._consumer_idents == {threading.get_ident()}
-                ):
-                    # The queue is full, the wait would be unbounded, and
-                    # the only thread that has ever drained this
-                    # subscription is the one publishing: nobody else can
-                    # make room, so waiting would deadlock.  Fail typed
-                    # and loud instead of hanging the ingestion path.
-                    label = self.name if self.name is not None else "<anonymous>"
-                    raise SubscriptionSelfBlockError(
-                        f"subscription {label!r} would self-deadlock: "
-                        f"policy=block with no block_timeout, queue full "
-                        f"(maxsize={self.maxsize}), and the publishing "
-                        f"thread is the only consumer this subscription "
-                        f"has ever had; drain first, set a block_timeout, "
-                        f"or use the drop_oldest policy",
-                        subscription_name=label,
-                    )
-                if not self._cond.wait_for(
-                    lambda: self.closed or len(self._queue) < self.maxsize,
-                    timeout=self.block_timeout,
-                ):
-                    raise OverloadError(
-                        f"subscriber queue full for {self.block_timeout}s "
-                        f"(maxsize={self.maxsize}, policy=block)",
-                        depth_chunks=float(len(self._queue)),
-                    )
+                self._wait_for_room()
                 if self.closed:
                     return []
-                self._queue.append(update)
+            self._queue.append((perf_counter(), update))
             if len(self._queue) > self.peak_depth:
                 self.peak_depth = len(self._queue)
             self._cond.notify_all()
-            return []
+            return dropped_ids
+
+    def _wait_for_room(self) -> None:
+        """``block`` policy: wait (lock held) until the queue has room or
+        the subscription closes; raise instead of deadlocking or waiting
+        past ``block_timeout``."""
+        if (
+            self.block_timeout is None
+            and len(self._queue) >= self.maxsize
+            and self._consumer_idents == {threading.get_ident()}
+        ):
+            # The queue is full, the wait would be unbounded, and the only
+            # thread that has ever drained this subscription is the one
+            # publishing: nobody else can make room, so waiting would
+            # deadlock.  Fail typed and loud instead of hanging the
+            # ingestion path.
+            label = self.name if self.name is not None else "<anonymous>"
+            raise SubscriptionSelfBlockError(
+                f"subscription {label!r} would self-deadlock: "
+                f"policy=block with no block_timeout, queue full "
+                f"(maxsize={self.maxsize}), and the publishing "
+                f"thread is the only consumer this subscription "
+                f"has ever had; drain first, set a block_timeout, "
+                f"or use the drop_oldest policy",
+                subscription_name=label,
+            )
+        if not self._cond.wait_for(
+            lambda: self.closed or len(self._queue) < self.maxsize,
+            timeout=self.block_timeout,
+        ):
+            raise OverloadError(
+                f"subscriber queue full for {self.block_timeout}s "
+                f"(maxsize={self.maxsize}, policy=block)",
+                depth_chunks=float(len(self._queue)),
+            )
+
+    def _record_wait(self, offered_at: float, now: float) -> None:
+        wait = now - offered_at
+        self.wait_seconds_total += wait
+        if wait > self.max_wait_seconds:
+            self.max_wait_seconds = wait
 
     def get(self, timeout: float | None = None) -> QueryUpdate | None:
         """Pop the oldest buffered update (``None`` on timeout/closed-empty)."""
@@ -336,18 +365,26 @@ class Subscription:
                 return None
             if not self._queue:
                 return None
-            update = self._queue.popleft()
+            offered_at, update = self._queue.popleft()
+            self._record_wait(offered_at, perf_counter())
             self.delivered += 1
             self._cond.notify_all()
             return update
 
-    def drain(self) -> list[QueryUpdate]:
-        """Pop everything currently buffered, oldest first."""
+    def drain(self, limit: int | None = None) -> list[QueryUpdate]:
+        """Pop everything currently buffered (at most ``limit``), oldest first."""
         with self._cond:
             self._consumer_idents.add(threading.get_ident())
-            drained = list(self._queue)
-            self._queue.clear()
-            self.delivered += len(drained)
+            count = len(self._queue)
+            if limit is not None:
+                count = min(count, limit)
+            now = perf_counter()
+            drained: list[QueryUpdate] = []
+            for _ in range(count):
+                offered_at, update = self._queue.popleft()
+                self._record_wait(offered_at, now)
+                drained.append(update)
+            self.delivered += count
             self._cond.notify_all()
             return drained
 
@@ -357,7 +394,7 @@ class Subscription:
             self.closed = True
             self._cond.notify_all()
 
-    def counters(self) -> dict[str, int]:
+    def counters(self) -> dict[str, int | float]:
         """The subscription's accounting as a plain dict."""
         return {
             "offered": self.offered,
@@ -365,6 +402,8 @@ class Subscription:
             "dropped": self.dropped,
             "depth": self.depth,
             "peak_depth": self.peak_depth,
+            "wait_seconds_total": self.wait_seconds_total,
+            "max_wait_seconds": self.max_wait_seconds,
         }
 
 

@@ -12,7 +12,11 @@ Three regressions pinned here:
   flight must never produce negative or absurd ``lag_seconds``;
 * a ``query_ids``-filtered subscription must keep the conservation law
   ``offered == delivered + dropped + depth`` over the *filtered* updates
-  alone — bypassed updates are not offered.
+  alone — bypassed updates are not offered;
+* every enqueue must wake a consumer blocked in ``get`` — the
+  ``drop_oldest`` branch once returned before its ``notify_all``, so a
+  waiting consumer only woke when its own timeout expired — and the time
+  delivered updates wait in the queue is counted.
 """
 
 from __future__ import annotations
@@ -211,3 +215,96 @@ class TestQueryFilter:
             updates = subscription.drain()
             assert updates
             assert {update.query_id for update in updates} == {"b"}
+
+
+def wait_until_consuming(subscription: Subscription) -> None:
+    """Return once a consumer thread has entered ``get``.
+
+    The consumer registers under the subscription's lock and only releases
+    it by waiting, so a publish that takes the lock afterwards finds the
+    consumer parked in ``wait``.
+    """
+    deadline = time.monotonic() + 10
+    while not subscription._consumer_idents:
+        assert time.monotonic() < deadline, "consumer never entered get()"
+        time.sleep(0.001)
+
+
+class TestWakeOnPublish:
+    """A consumer blocked in ``get(timeout=30)`` returns on the publish.
+
+    The 30 s timeout makes a lost wake-up unmistakable: without a notify
+    on the enqueue path the consumer sleeps out its full timeout.  The
+    zero-capacity ``evict`` case covers the eviction close: the publish
+    overflows, closes the subscription, and ``get`` returns ``None``.
+    """
+
+    WAKE_LIMIT_S = 2.0
+
+    @pytest.mark.parametrize(
+        "policy, maxsize",
+        [("block", 4), ("drop_oldest", 4), ("evict", 4), ("evict", 0)],
+    )
+    def test_blocked_get_wakes_on_publish(self, policy, maxsize):
+        bus = ResultBus()
+        subscription = bus.open_subscription(maxsize=maxsize, policy=policy)
+        outcome: dict = {}
+
+        def consume():
+            outcome["update"] = subscription.get(timeout=30)
+            outcome["returned_at"] = time.monotonic()
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        wait_until_consuming(subscription)
+        published_at = time.monotonic()
+        publisher = threading.Thread(
+            target=bus.publish, args=([make_update("q", 7)],)
+        )
+        publisher.start()
+        publisher.join()
+        consumer.join(timeout=self.WAKE_LIMIT_S)
+        assert not consumer.is_alive(), (
+            f"policy={policy}: get() did not return within "
+            f"{self.WAKE_LIMIT_S}s of the publish"
+        )
+        assert outcome["returned_at"] - published_at < self.WAKE_LIMIT_S
+        if maxsize:
+            assert outcome["update"].chunk_index == 7
+        else:
+            assert outcome["update"] is None
+            assert subscription.evicted and bus.evicted_subscribers == 1
+
+
+class TestWaitAccounting:
+    def test_get_and_drain_count_queue_wait(self):
+        subscription = Subscription(maxsize=8, policy="drop_oldest")
+        assert subscription.counters()["wait_seconds_total"] == 0.0
+        for index in range(3):
+            subscription._offer(make_update("q", index))
+        time.sleep(0.05)
+        assert subscription.get(timeout=1).chunk_index == 0
+        after_get = subscription.wait_seconds_total
+        assert after_get >= 0.05
+        assert [update.chunk_index for update in subscription.drain()] == [1, 2]
+        counters = subscription.counters()
+        assert counters["wait_seconds_total"] >= after_get + 2 * 0.05
+        assert 0.05 <= counters["max_wait_seconds"] <= counters["wait_seconds_total"]
+
+    def test_dropped_updates_do_not_count_as_waited(self):
+        subscription = Subscription(maxsize=1, policy="drop_oldest")
+        subscription._offer(make_update("q", 0))
+        subscription._offer(make_update("q", 1))  # drops chunk 0
+        assert subscription.wait_seconds_total == 0.0
+        assert [update.chunk_index for update in subscription.drain()] == [1]
+        assert subscription.dropped == 1
+
+    def test_drain_limit_takes_oldest_first(self):
+        subscription = Subscription(maxsize=8, policy="drop_oldest")
+        for index in range(5):
+            subscription._offer(make_update("q", index))
+        assert [u.chunk_index for u in subscription.drain(2)] == [0, 1]
+        assert [u.chunk_index for u in subscription.drain(0)] == []
+        assert [u.chunk_index for u in subscription.drain()] == [2, 3, 4]
+        counters = subscription.counters()
+        assert counters["delivered"] == 5 and counters["depth"] == 0

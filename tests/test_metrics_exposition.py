@@ -223,6 +223,31 @@ class TestExpositionValidity:
         }
         assert bucket_les == {repr(float(b)) for b in HISTOGRAM_BOUNDS} | {"+Inf"}
 
+    def test_subscription_wait_families_are_strictly_valid(self):
+        service = SurgeService([spec("plain")])
+        with service:
+            subscription = service.bus.open_subscription(
+                maxsize=64, policy="drop_oldest", name="watch \"er\""
+            )
+            objects = make_objects(128, seed=5)
+            for start in range(0, 128, 32):
+                service.push_many(objects[start : start + 32])
+            delivered = len(subscription.drain())
+            snapshot = engine_snapshot(service)
+        families = parse_exposition(render_prometheus(snapshot))
+        record = snapshot["subscriptions"][0]
+        assert record["delivered"] == delivered > 0
+        for family, kind, key in (
+            ("repro_subscription_wait_seconds_total", "counter", "wait_seconds_total"),
+            ("repro_subscription_max_wait_seconds", "gauge", "max_wait_seconds"),
+        ):
+            assert families[family]["type"] == kind
+            ((name, labels, value),) = families[family]["samples"]
+            assert name == family
+            assert labels == {"subscription": 'watch "er"', "policy": "drop_oldest"}
+            assert value == record[key]
+        assert 0.0 < record["max_wait_seconds"] <= record["wait_seconds_total"]
+
     def test_label_escaping_round_trips(self):
         text, _ = self.render(traced=False)
         families = parse_exposition(text)

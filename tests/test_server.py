@@ -39,8 +39,10 @@ from repro.server import (
     http_get,
 )
 from repro.server.client import connect_backoff_schedule
-from repro.server.protocol import decode_result
+from repro.obs import Tracer
+from repro.server.protocol import decode_result, encode_update
 from repro.service import OverloadConfig, OverloadError, QuerySpec, SurgeService
+from repro.service.bus import QueryUpdate
 from repro.streams.faults import FaultInjector
 from repro.streams.objects import SpatialObject
 
@@ -198,6 +200,46 @@ class TestSubscriptions:
             feeder.flush()
             frames = [subscriber.recv_result() for _ in range(4)]
             assert {frame["query_id"] for frame in frames} == {"all"}
+
+    def test_one_publish_batch_arrives_as_ordered_frames(self, server_factory):
+        tracer = Tracer(enabled=True)
+        service = SurgeService([make_spec("q")], tracer=tracer)
+        server = server_factory(service)
+        updates = [
+            QueryUpdate(
+                query_id=f"q{index % 2}",
+                chunk_index=index,
+                result=None,
+                objects_routed=index,
+                busy_seconds=0.25 * index,
+                lag_seconds=0.5 * index,
+            )
+            for index in range(5)
+        ]
+        with connect(server) as subscriber, connect(server) as admin:
+            subscriber.subscribe(maxsize=8, name="batch")
+            before = admin.stats()["server"]["frames_out_total"]
+            (subscription,) = service.bus.subscriptions()
+            # Holding the subscription's (reentrant) lock across the publish
+            # keeps the pump parked until all five updates are queued, so
+            # its one wake-up takes them as one batch and one write.
+            with subscription._cond:
+                service.bus.publish(updates)
+            frames = [subscriber.recv_result() for _ in updates]
+            assert frames == [encode_update(update) for update in updates]
+            deadline = time.monotonic() + 10
+            while tracer.stage_stats().get("server.pump", {}).get("count", 0) < 1:
+                assert time.monotonic() < deadline, "pump never recorded its write"
+                time.sleep(0.01)
+            assert tracer.stage_stats()["server.pump"]["count"] == 1
+            after = admin.stats()["server"]["frames_out_total"]
+            # Five result frames plus the first stats reply: frames, not
+            # pump wake-ups, are counted.
+            assert after - before == len(updates) + 1
+            counters = admin.stats()["subscriptions"][0]
+            assert counters["delivered"] == len(updates)
+            assert counters["wait_seconds_total"] >= 0.0
+            assert counters["max_wait_seconds"] <= counters["wait_seconds_total"]
 
     def test_second_subscribe_on_same_connection_is_409(self, server_factory):
         service = SurgeService([make_spec("q")])
